@@ -5,8 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // regenerates every experiment at laptop scale and prints tables in the
-// same shape the paper reports. EXPERIMENTS.md records paper-vs-measured
-// for each one. Scale knobs:
+// same shape the paper reports. Scale knobs:
 //
 //	GRAPHALYTICS_SCALE_DIV   surrogate downscale divisor (default 64)
 //	GRAPHALYTICS_RMAT_SCALE  Graph500 workload scale (default 14)

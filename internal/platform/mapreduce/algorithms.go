@@ -1,9 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphalytics/internal/algo"
 	"graphalytics/internal/graph"
@@ -533,14 +534,14 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 		for f := range cands {
 			fires = append(fires, int(f))
 		}
-		sort.Ints(fires)
+		slices.Sort(fires)
 		for _, fi := range fires {
 			f := uint32(fi)
 			if dead[f] {
 				continue
 			}
 			vs := cands[f]
-			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+			slices.Sort(vs)
 			uniq := vs[:0]
 			var last graph.VertexID
 			for i, v := range vs {
@@ -568,11 +569,11 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 			evo.Edges = append(evo.Edges, [2]graph.VertexID{graph.VertexID(n + int(f)), graph.VertexID(r.Key)})
 		}
 	}
-	sort.Slice(evo.Edges, func(i, j int) bool {
-		if evo.Edges[i][0] != evo.Edges[j][0] {
-			return evo.Edges[i][0] < evo.Edges[j][0]
+	slices.SortFunc(evo.Edges, func(a, b [2]graph.VertexID) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return evo.Edges[i][1] < evo.Edges[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	return evo, nil
 }

@@ -12,6 +12,14 @@
 //     other side — iteration state (including adjacency lists) pays the
 //     full materialization cost every round, exactly like HDFS-backed
 //     Hadoop iterations;
+//   - partitions and job outputs are sorted by (key, value bytes) with a
+//     typed comparison, the raw-comparator sort of Hadoop's shuffle: the
+//     order is total, so reducers that sum floats (PageRank) see their
+//     values in the same order at every slot count;
+//   - the [mapper][reducer] spill buffers live on the Cluster and are
+//     emptied, not freed, between the jobs of a chain, as Hadoop reuses
+//     its fixed map-side sort buffer; mappers count records per spill,
+//     so each reducer sizes its record slice once;
 //   - every job pays a configurable scheduling overhead (YARN container
 //     launch in the original);
 //   - there is no memory budget: state streams through buffers, so the
@@ -21,9 +29,11 @@
 package mapreduce
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +72,8 @@ type Job struct {
 	// Map is invoked once per input record.
 	Map func(tc *TaskCtx, r Record, emit Emit)
 	// Reduce is invoked once per distinct key with all values for it
-	// (sorted bytewise).
+	// (sorted bytewise). The values slice and the bytes it points to are
+	// valid only during the call; emit copies what it is given.
 	Reduce func(tc *TaskCtx, key int64, values [][]byte, emit Emit)
 }
 
@@ -72,7 +83,8 @@ type JobResult struct {
 	Counters map[string]int64
 }
 
-// Cluster executes jobs.
+// Cluster executes jobs. A Cluster runs one job at a time: its spill
+// buffers belong to the job in flight.
 type Cluster struct {
 	// Workers is the number of map/reduce slots (default GOMAXPROCS).
 	Workers int
@@ -80,6 +92,19 @@ type Cluster struct {
 	RoundOverhead time.Duration
 	// Counters accumulates engine metrics across jobs of one algorithm.
 	Counters *platform.Counters
+
+	busyMu sync.Mutex // guards Counters.WorkerBusy during a job
+
+	// spills[m][r] holds mapper m's serialized records for reducer r and
+	// spillRecs[m][r] their count. Both are reset, not reallocated, at
+	// each job, so a job chain reuses the buffers the way Hadoop reuses
+	// its fixed map-side sort buffer.
+	spills    [][][]byte
+	spillRecs [][]int
+	// outHint[r] is reducer r's output size in the previous job, the
+	// initial capacity of its next output buffer (a chain's jobs emit
+	// much the same state every round).
+	outHint []int
 }
 
 // Run executes one job over input.
@@ -105,26 +130,28 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 
 	tc := &TaskCtx{counters: map[string]int64{}}
 	errs := make([]error, workers)
+	c.resetSpills(workers)
 
 	// ------------------------- map phase -------------------------
 	// Each mapper serializes its emissions into per-reducer spill
-	// buffers (the in-memory stand-in for map output files), probing
-	// the context every CheckStride input records.
-	spills := make([][][]byte, workers) // [mapper][reducer] -> buffer
+	// buffers (the in-memory stand-in for map output files), counting
+	// records per spill and probing the context every CheckStride input
+	// records.
 	splits := splitRecords(input, workers)
 	var wg sync.WaitGroup
 	for m := 0; m < workers; m++ {
-		spills[m] = make([][]byte, workers)
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
 			start := time.Now()
+			spills, counts := c.spills[m], c.spillRecs[m]
 			emit := func(key int64, value []byte) {
 				r := int(uint64(key*0x9e3779b9) % uint64(workers))
 				if key < 0 {
 					r = int(uint64(-key) % uint64(workers))
 				}
-				spills[m][r] = appendRecord(spills[m][r], key, value)
+				spills[r] = appendRecord(spills[r], key, value)
+				counts[r]++
 			}
 			for ri, rec := range splits[m] {
 				if ri%platform.CheckStride == 0 && ctx.Err() != nil {
@@ -133,7 +160,7 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 				}
 				job.Map(tc, rec, emit)
 			}
-			busyAdd(c.Counters, m, workers, time.Since(start))
+			c.addBusy(m, workers, time.Since(start))
 		}(m)
 	}
 	wg.Wait()
@@ -146,7 +173,8 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 	// Each reducer fetches its buffer from every mapper (cross-worker
 	// fetches count as network traffic), deserializes, and sorts.
 	type reduceOut struct {
-		buf []byte
+		buf  []byte
+		recs int
 	}
 	outs := make([]reduceOut, workers)
 	var spilled, network, shuffled int64
@@ -156,10 +184,14 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 		go func(r int) {
 			defer wg.Done()
 			start := time.Now()
-			var recs []Record
+			size := 0
+			for m := 0; m < workers; m++ {
+				size += c.spillRecs[m][r]
+			}
+			recs := make([]Record, 0, size)
 			var localSpill, localNet, count int64
 			for m := 0; m < workers; m++ {
-				buf := spills[m][r]
+				buf := c.spills[m][r]
 				localSpill += int64(len(buf))
 				if m != r {
 					localNet += int64(len(buf))
@@ -175,13 +207,18 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 					count++
 				}
 			}
-			sortRecords(recs)
+			slices.SortFunc(recs, compareRecords)
 
 			// Group by key and reduce, serializing output (HDFS write).
-			var out []byte
+			// values is one scratch slice for every group: Reduce must
+			// not keep it, and emit copies the bytes it is given.
+			out := make([]byte, 0, c.outHint[r])
+			emitted := 0
 			emit := func(key int64, value []byte) {
 				out = appendRecord(out, key, value)
+				emitted++
 			}
+			var values [][]byte
 			groups := 0
 			for i := 0; i < len(recs); {
 				if groups%platform.CheckStride == 0 && ctx.Err() != nil {
@@ -190,23 +227,22 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 				}
 				groups++
 				j := i
+				values = values[:0]
 				for j < len(recs) && recs[j].Key == recs[i].Key {
+					values = append(values, recs[j].Value)
 					j++
-				}
-				values := make([][]byte, 0, j-i)
-				for k := i; k < j; k++ {
-					values = append(values, recs[k].Value)
 				}
 				job.Reduce(tc, recs[i].Key, values, emit)
 				i = j
 			}
-			outs[r] = reduceOut{buf: out}
+			outs[r] = reduceOut{buf: out, recs: emitted}
+			c.outHint[r] = len(out)
 			statMu.Lock()
 			spilled += localSpill + int64(len(out))
 			network += localNet
 			shuffled += count
 			statMu.Unlock()
-			busyAdd(c.Counters, r, workers, time.Since(start))
+			c.addBusy(r, workers, time.Since(start))
 		}(r)
 	}
 	wg.Wait()
@@ -220,24 +256,28 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 	c.Counters.NetworkBytes += network
 
 	// Deserialize job output (HDFS read of the next job), one decoder
-	// per reducer output in parallel, concatenated in reducer order.
-	decoded := make([][]Record, workers)
+	// per reducer output in parallel, each into its own reducer-order
+	// range of the output.
+	total := 0
+	for _, o := range outs {
+		total += o.recs
+	}
+	output := make([]Record, total)
+	lo := 0
 	for r := 0; r < workers; r++ {
+		part := output[lo : lo+outs[r].recs]
+		lo += outs[r].recs
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			buf := outs[r].buf
-			var recs []Record
-			for len(buf) > 0 {
-				if len(recs)%platform.CheckStride == 0 && ctx.Err() != nil {
+			for i := range part {
+				if i%platform.CheckStride == 0 && ctx.Err() != nil {
 					errs[r] = platform.CheckContextPhase(ctx, "mapreduce/output")
 					return
 				}
-				var rec Record
-				rec, buf = readRecord(buf)
-				recs = append(recs, rec)
+				part[i], buf = readRecord(buf)
 			}
-			decoded[r] = recs
 		}(r)
 	}
 	wg.Wait()
@@ -245,17 +285,31 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 		sp.SetAttr("error", err.Error())
 		return nil, err
 	}
-	total := 0
-	for _, recs := range decoded {
-		total += len(recs)
-	}
-	output := make([]Record, 0, total)
-	for _, recs := range decoded {
-		output = append(output, recs...)
-	}
-	sortRecords(output) // deterministic chaining independent of workers
+	slices.SortFunc(output, compareRecords) // deterministic chaining independent of workers
 	sp.SetAttr("records_out", len(output))
 	return &JobResult{Output: output, Counters: tc.counters}, nil
+}
+
+// resetSpills empties the [mapper][reducer] spill buffers for a new job,
+// keeping their capacity; they are (re)allocated only when the slot count
+// changes.
+func (c *Cluster) resetSpills(workers int) {
+	if len(c.spills) != workers {
+		c.spills = make([][][]byte, workers)
+		c.spillRecs = make([][]int, workers)
+		c.outHint = make([]int, workers)
+		for m := range c.spills {
+			c.spills[m] = make([][]byte, workers)
+			c.spillRecs[m] = make([]int, workers)
+		}
+		return
+	}
+	for m := range c.spills {
+		for r := range c.spills[m] {
+			c.spills[m][r] = c.spills[m][r][:0]
+		}
+		clear(c.spillRecs[m])
+	}
 }
 
 // firstError returns the lowest-indexed non-nil error from a per-worker
@@ -269,17 +323,15 @@ func firstError(errs []error) error {
 	return nil
 }
 
-var busyMu sync.Mutex
-
-func busyAdd(c *platform.Counters, w, workers int, d time.Duration) {
-	busyMu.Lock()
-	defer busyMu.Unlock()
-	if len(c.WorkerBusy) < workers {
+func (c *Cluster) addBusy(w, workers int, d time.Duration) {
+	c.busyMu.Lock()
+	defer c.busyMu.Unlock()
+	if len(c.Counters.WorkerBusy) < workers {
 		grown := make([]time.Duration, workers)
-		copy(grown, c.WorkerBusy)
-		c.WorkerBusy = grown
+		copy(grown, c.Counters.WorkerBusy)
+		c.Counters.WorkerBusy = grown
 	}
-	c.WorkerBusy[w] += d
+	c.Counters.WorkerBusy[w] += d
 }
 
 func splitRecords(input []Record, parts int) [][]Record {
@@ -298,33 +350,11 @@ func splitRecords(input []Record, parts int) [][]Record {
 	return out
 }
 
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return compareBytes(recs[i].Value, recs[j].Value) < 0
-	})
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// compareRecords orders records by key, then by value bytes: the order
+// every reduce partition and every job output is sorted in.
+func compareRecords(a, b Record) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return bytes.Compare(a.Value, b.Value)
 }
