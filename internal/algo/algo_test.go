@@ -241,7 +241,7 @@ func TestQuickConnInvariants(t *testing.T) {
 // ------------------------- CD -------------------------
 
 func TestTallyVotesBasics(t *testing.T) {
-	if _, _, ok := TallyVotes(nil, 0.1); ok {
+	if _, _, ok := TallyVotes(nil, NewPreference(0.1, 8)); ok {
 		t.Error("empty votes should report !ok")
 	}
 	votes := []Vote{
@@ -250,7 +250,7 @@ func TestTallyVotesBasics(t *testing.T) {
 		{Label: 3, Score: 0.6, Degree: 2},
 	}
 	// Weights (m=0): label 5 -> 1.0, label 3 -> 1.1. Winner 3, max score 0.6.
-	l, s, ok := TallyVotes(votes, 0)
+	l, s, ok := TallyVotes(votes, NewPreference(0, 8))
 	if !ok || l != 3 || math.Abs(s-0.6) > 1e-12 {
 		t.Fatalf("TallyVotes = %d/%v/%v", l, s, ok)
 	}
@@ -261,7 +261,7 @@ func TestTallyVotesTieBreak(t *testing.T) {
 		{Label: 9, Score: 1, Degree: 1},
 		{Label: 2, Score: 1, Degree: 1},
 	}
-	l, _, _ := TallyVotes(votes, 0)
+	l, _, _ := TallyVotes(votes, NewPreference(0, 8))
 	if l != 2 {
 		t.Fatalf("tie must break to smallest label, got %d", l)
 	}
@@ -278,8 +278,8 @@ func TestTallyVotesOrderInvariant(t *testing.T) {
 	for i, v := range votes {
 		rev[len(votes)-1-i] = v
 	}
-	l1, s1, _ := TallyVotes(votes, 0.1)
-	l2, s2, _ := TallyVotes(rev, 0.1)
+	l1, s1, _ := TallyVotes(votes, NewPreference(0.1, 8))
+	l2, s2, _ := TallyVotes(rev, NewPreference(0.1, 8))
 	if l1 != l2 || s1 != s2 {
 		t.Fatal("TallyVotes must be input-order invariant")
 	}

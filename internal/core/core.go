@@ -5,7 +5,8 @@
 // measures the complete execution of an algorithm, from job submission
 // to result availability, but does not include ETL"), enforces per-run
 // timeouts, captures failures as missing values, validates every output
-// against the reference implementations, monitors the system during
+// against the reference implementations (each reference computed once
+// per graph and workload, see graphRefs), monitors the system during
 // runs, and hands the results to the Report Generator.
 //
 // Campaigns execute through the internal/sched scheduler: the matrix
@@ -197,6 +198,7 @@ func (b *Benchmark) Run(ctx context.Context) (*report.Report, error) {
 		b:     b,
 		algs:  algs,
 		cells: make([]*report.RunResult, len(b.Platforms)*len(b.Graphs)*len(algs)),
+		refs:  make(map[string]*graphRefs, len(b.Graphs)),
 		retry: sched.RetryPolicy{
 			MaxAttempts: b.Retries + 1,
 			Backoff:     b.RetryBackoff,
@@ -309,6 +311,9 @@ type campaign struct {
 	// exactly one job (or restored from the journal before scheduling).
 	cells []*report.RunResult
 	pgs   []*pgState
+	// refs holds each graph's memoised reference outputs (by graph
+	// name) when the campaign validates on the local pool.
+	refs map[string]*graphRefs
 	// progressMu serializes the Progress callback across workers.
 	progressMu sync.Mutex
 
@@ -402,6 +407,9 @@ type pgState struct {
 	// pendingCells lists the (slot, algorithm) pairs the load job must
 	// fill with missing values if ETL terminally fails.
 	pendingCells []pendingCell
+	// refs is the graph's reference memo, shared with the graph's pairs
+	// on other platforms (nil when validation is off).
+	refs *graphRefs
 }
 
 type pendingCell struct {
@@ -481,6 +489,13 @@ func (c *campaign) pendingCellsFor(pi int, p platform.Platform, gi int, g *graph
 // job (the ETL step, run once) feeding one run job per pending cell.
 func (c *campaign) localJobs(p platform.Platform, g *graph.Graph, pending []pendingCell) []sched.Job {
 	pg := &pgState{p: p, g: g, pendingCells: pending}
+	if c.b.Validate {
+		if c.refs[g.Name()] == nil {
+			c.refs[g.Name()] = &graphRefs{}
+		}
+		pg.refs = c.refs[g.Name()]
+		pg.refs.pending.Add(int64(len(pending)))
+	}
 	loadID := "load/" + p.Name() + "/" + g.Name()
 	jobs := make([]sched.Job, 0, len(pending)+1)
 	jobs = append(jobs, sched.Job{
@@ -607,6 +622,7 @@ func (c *campaign) loadJob(pg *pgState, attempt int) error {
 					Attempts: attempt,
 				}
 				c.finishCell(cell.slot, cell.key, cell.fp, r)
+				pg.refs.cellDone()
 			}
 		}
 		return err
@@ -674,6 +690,7 @@ func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slo
 		return execErr
 	}
 	c.finishCell(slot, key, fp, r)
+	pg.refs.cellDone()
 	if pg.remaining.Add(-1) == 0 {
 		pg.loaded.Close()
 	}
@@ -834,7 +851,9 @@ func (c *campaign) runCell(ctx context.Context, pg *pgState, a algo.Kind) (repor
 	}
 	if b.Validate {
 		vsp := telemetry.StartSpan("cell", "validate:"+cellTag)
-		r.Validation = workload.Validate(pg.g, a, b.Params.WithDefaults(pg.g.NumVertices()), res.Output)
+		spec, _ := workload.Lookup(a)
+		want := pg.refs.get(spec, pg.g, b.Params.WithDefaults(pg.g.NumVertices()))
+		r.Validation = spec.Validate(pg.g, res.Output, want)
 		vsp.SetAttr("valid", r.Validation.Valid)
 		vsp.End()
 		if !r.Validation.Valid {

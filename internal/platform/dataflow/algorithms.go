@@ -142,11 +142,14 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 	// Degrees are gathered up front: the MapVertices closure runs
 	// chunked in parallel, so it cannot share a scratch buffer.
 	degs := make([]int32, n)
+	maxDeg := 0
 	var buf []graph.VertexID
 	for v := 0; v < n; v++ {
 		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
+		maxDeg = max(maxDeg, len(buf))
 	}
+	pref := algo.NewPreference(p.CDPreference, maxDeg)
 	verts, err := MapVertices(ctx, env, n, 20, func(v graph.VertexID) cdVD {
 		return cdVD{label: int64(v), score: 1, degree: degs[v]}
 	})
@@ -174,7 +177,7 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 			return nil, err
 		}
 		verts, err = JoinVertices(ctx, env, verts, 20, msgs, func(v graph.VertexID, d cdVD, votes []algo.Vote) cdVD {
-			win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference)
+			win, maxScore, ok := algo.TallyVotes(votes, pref)
 			if !ok {
 				return d
 			}

@@ -41,6 +41,8 @@ type Env struct {
 	RetainWindow int
 
 	retained []int64 // byte sizes of retained versions (FIFO)
+
+	busyMu sync.Mutex // guards Counters.WorkerBusy during a parallel stage
 }
 
 // NewEnv returns an environment over g.
@@ -186,7 +188,7 @@ func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vd
 					c.edges++
 				}
 			}
-			busyAdd(env.Counters, p, parts, time.Since(t0))
+			env.addBusy(p, time.Since(t0))
 		}(p, lo, hi)
 	}
 	wg.Wait()
@@ -413,18 +415,18 @@ func CanonicalArc(g *graph.Graph, u, v graph.VertexID) bool {
 	return u < v || !g.HasArc(v, u)
 }
 
-var busyMu sync.Mutex
-
-func busyAdd(c *platform.Counters, w, workers int, d time.Duration) {
-	if c == nil {
+// addBusy credits d of busy time to partition w's entry in
+// Counters.WorkerBusy, growing it to Parts entries on first use.
+func (e *Env) addBusy(w int, d time.Duration) {
+	if e.Counters == nil {
 		return
 	}
-	busyMu.Lock()
-	defer busyMu.Unlock()
-	if len(c.WorkerBusy) < workers {
-		grown := make([]time.Duration, workers)
-		copy(grown, c.WorkerBusy)
-		c.WorkerBusy = grown
+	e.busyMu.Lock()
+	defer e.busyMu.Unlock()
+	if len(e.Counters.WorkerBusy) < e.Parts {
+		grown := make([]time.Duration, e.Parts)
+		copy(grown, e.Counters.WorkerBusy)
+		e.Counters.WorkerBusy = grown
 	}
-	c.WorkerBusy[w] += d
+	e.Counters.WorkerBusy[w] += d
 }

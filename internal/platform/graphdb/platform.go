@@ -200,13 +200,16 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error
 	labels := make([]int64, n)
 	scores := make([]float64, n)
 	degs := make([]int32, n)
+	maxDeg := 0
 	var buf []graph.VertexID
 	for v := 0; v < n; v++ {
 		labels[v] = int64(v)
 		scores[v] = 1
 		buf = l.store.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
+		maxDeg = max(maxDeg, len(buf))
 	}
+	pref := algo.NewPreference(p.CDPreference, maxDeg)
 	newLabels := make([]int64, n)
 	newScores := make([]float64, n)
 	votes := make([]algo.Vote, 0, 64)
@@ -222,7 +225,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error
 			for _, u := range buf {
 				votes = append(votes, algo.Vote{Label: labels[u], Score: scores[u], Degree: degs[u]})
 			}
-			win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference)
+			win, maxScore, ok := algo.TallyVotes(votes, pref)
 			if !ok {
 				newLabels[v] = labels[v]
 				newScores[v] = scores[v]

@@ -207,9 +207,12 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 	n := l.g.NumVertices()
 	nbh := l.neighborhoods()
 	input := make([]Record, n)
+	maxDeg := 0
 	for v := 0; v < n; v++ {
 		input[v] = Record{Key: int64(v), Value: cdState(int64(v), 1, len(nbh[v]), nbh[v])}
+		maxDeg = max(maxDeg, len(nbh[v]))
 	}
+	pref := algo.NewPreference(p.CDPreference, maxDeg)
 
 	job := Job{
 		Name: "cd-iter",
@@ -254,7 +257,7 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 					votes = append(votes, algo.Vote{Label: vl, Score: vs, Degree: int32(vd)})
 				}
 			}
-			if win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference); ok {
+			if win, maxScore, ok := algo.TallyVotes(votes, pref); ok {
 				s := maxScore
 				if win != label {
 					s -= p.CDDelta

@@ -92,7 +92,7 @@ func Conformance(t *testing.T, p platform.Platform) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if v := spec.Validate(g, params, res.Output); !v.Valid {
+					if v := spec.Validate(g, res.Output, spec.Reference(g, params)); !v.Valid {
 						t.Fatalf("%s output rejected (%s policy): %s", spec.Kind, spec.Policy, v.Detail)
 					}
 				})
@@ -119,6 +119,7 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 		t.Run(g.Name(), func(t *testing.T) {
 			params := algo.Params{Source: 0, Seed: 99, EvoNewVertices: 6}.WithDefaults(g.NumVertices())
 			outputs := make(map[int]map[algo.Kind]any, len(counts))
+			refs := make(map[algo.Kind]any, len(specs))
 			for _, w := range counts {
 				loaded, err := factory(w).LoadGraph(g)
 				if err != nil {
@@ -133,7 +134,10 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 					if err != nil {
 						t.Fatalf("workers=%d %s: %v", w, spec.Kind, err)
 					}
-					if v := spec.Validate(g, params, res.Output); !v.Valid {
+					if refs[spec.Kind] == nil {
+						refs[spec.Kind] = spec.Reference(g, params)
+					}
+					if v := spec.Validate(g, res.Output, refs[spec.Kind]); !v.Valid {
 						t.Fatalf("workers=%d %s rejected (%s policy): %s", w, spec.Kind, spec.Policy, v.Detail)
 					}
 					outputs[w][spec.Kind] = res.Output

@@ -110,13 +110,16 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 		return nil, err
 	}
 	defer l.mem.Free(int64(n) * 20)
+	maxDeg := 0
 	var buf []graph.VertexID
 	for v := 0; v < n; v++ {
 		labels[v] = int64(v)
 		scores[v] = 1
 		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
+		maxDeg = max(maxDeg, len(buf))
 	}
+	pref := algo.NewPreference(p.CDPreference, maxDeg)
 
 	e := newEngine[algo.Vote](l, counters, func(algo.Vote) int64 { return 20 }, nil)
 	compute := func(c *VCtx[algo.Vote], v graph.VertexID, msgs []algo.Vote) {
@@ -129,7 +132,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 			c.SendToAllNeighbors(v, algo.Vote{Label: labels[v], Score: scores[v], Degree: degs[v]})
 			return
 		}
-		win, maxScore, ok := algo.TallyVotes(msgs, p.CDPreference)
+		win, maxScore, ok := algo.TallyVotes(msgs, pref)
 		if ok {
 			s := maxScore
 			if win != labels[v] {

@@ -3,6 +3,12 @@
 // benchmark to ensure correctness" by comparing every platform result
 // against the sequential reference implementation.
 //
+// The validators do not run the reference themselves: each receives the
+// reference output (want) next to the platform output (got). The
+// campaign (internal/core) computes each reference once per (graph,
+// workload) through the workload registry's Spec.Reference and hands
+// the same output to the validation of every platform's cell.
+//
 // The package provides the per-workload validators and the three
 // comparison policies the workload registry (internal/workload) binds
 // them with:
@@ -123,9 +129,8 @@ func RankTolerant(got, want []float64, eps float64) Result {
 	return ok()
 }
 
-// ValidateStats checks a STATS output.
-func ValidateStats(g *graph.Graph, got algo.StatsOutput) Result {
-	want := algo.RunStats(g)
+// ValidateStats checks a STATS output against the reference want.
+func ValidateStats(got, want algo.StatsOutput) Result {
 	if got.Vertices != want.Vertices {
 		return fail("vertices = %d, want %d", got.Vertices, want.Vertices)
 	}
@@ -138,12 +143,11 @@ func ValidateStats(g *graph.Graph, got algo.StatsOutput) Result {
 	return ok()
 }
 
-// ValidateBFS checks a BFS output.
-func ValidateBFS(g *graph.Graph, source graph.VertexID, got algo.BFSOutput) Result {
+// ValidateBFS checks a BFS output against the reference want.
+func ValidateBFS(g *graph.Graph, got, want algo.BFSOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
-	want := algo.RunBFS(g, source)
 	for v := range want {
 		if got[v] != want[v] {
 			return fail("vertex %d: depth %d, want %d", v, got[v], want[v])
@@ -152,12 +156,11 @@ func ValidateBFS(g *graph.Graph, source graph.VertexID, got algo.BFSOutput) Resu
 	return ok()
 }
 
-// ValidateConn checks a CONN output.
-func ValidateConn(g *graph.Graph, got algo.ConnOutput) Result {
+// ValidateConn checks a CONN output against the reference want.
+func ValidateConn(g *graph.Graph, got, want algo.ConnOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
-	want := algo.RunConn(g)
 	for v := range want {
 		if got[v] != want[v] {
 			return fail("vertex %d: label %d, want %d", v, got[v], want[v])
@@ -166,9 +169,10 @@ func ValidateConn(g *graph.Graph, got algo.ConnOutput) Result {
 	return ok()
 }
 
-// ValidateCD checks a CD output: exact label match plus structural
-// sanity (labels must be existing vertex IDs) and modularity agreement.
-func ValidateCD(g *graph.Graph, params algo.Params, got algo.CDOutput) Result {
+// ValidateCD checks a CD output: exact label match with the reference
+// want plus structural sanity (labels must be existing vertex IDs) and
+// modularity agreement.
+func ValidateCD(g *graph.Graph, got, want algo.CDOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
@@ -177,7 +181,6 @@ func ValidateCD(g *graph.Graph, params algo.Params, got algo.CDOutput) Result {
 			return fail("vertex %d: label %d outside vertex ID domain", v, l)
 		}
 	}
-	want := algo.RunCD(g, params)
 	for v := range want {
 		if got[v] != want[v] {
 			return fail("vertex %d: label %d, want %d", v, got[v], want[v])
@@ -189,9 +192,10 @@ func ValidateCD(g *graph.Graph, params algo.Params, got algo.CDOutput) Result {
 	return ok()
 }
 
-// ValidateEvo checks an EVO output: exact new-edge-set match plus
-// structural sanity (sources are new vertices, targets are older).
-func ValidateEvo(g *graph.Graph, params algo.Params, got algo.EvoOutput) Result {
+// ValidateEvo checks an EVO output: exact new-edge-set match with the
+// reference want plus structural sanity (sources are new vertices,
+// targets are older).
+func ValidateEvo(g *graph.Graph, got, want algo.EvoOutput) Result {
 	n := graph.VertexID(g.NumVertices())
 	for _, e := range got.Edges {
 		if e[0] < n {
@@ -201,7 +205,6 @@ func ValidateEvo(g *graph.Graph, params algo.Params, got algo.EvoOutput) Result 
 			return fail("edge (%d,%d) does not point to an older vertex", e[0], e[1])
 		}
 	}
-	want := algo.RunEvo(g, params)
 	if got.NewVertices != want.NewVertices {
 		return fail("new vertices = %d, want %d", got.NewVertices, want.NewVertices)
 	}
@@ -217,9 +220,9 @@ func ValidateEvo(g *graph.Graph, params algo.Params, got algo.EvoOutput) Result 
 }
 
 // ValidatePageRank checks a PR output: structural sanity (ranks sum to
-// 1), per-vertex epsilon agreement with the reference, and rank-order
-// consistency.
-func ValidatePageRank(g *graph.Graph, params algo.Params, got algo.PROutput) Result {
+// 1), per-vertex epsilon agreement with the reference want, and
+// rank-order consistency.
+func ValidatePageRank(g *graph.Graph, got, want algo.PROutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
@@ -230,7 +233,6 @@ func ValidatePageRank(g *graph.Graph, params algo.Params, got algo.PROutput) Res
 	if g.NumVertices() > 0 && math.Abs(sum-1) > 1e-6 {
 		return fail("ranks sum to %.9f, want 1", sum)
 	}
-	want := algo.RunPageRank(g, params)
 	if r := EpsilonFloats(got, want, Epsilon); !r.Valid {
 		return r
 	}
@@ -238,18 +240,18 @@ func ValidatePageRank(g *graph.Graph, params algo.Params, got algo.PROutput) Res
 }
 
 // ValidateSSSP checks an SSSP output: exact distance agreement with the
-// Dijkstra reference (distances are deterministic path sums; see
+// Dijkstra reference want (distances are deterministic path sums; see
 // algo.RunSSSP).
-func ValidateSSSP(g *graph.Graph, source graph.VertexID, got algo.SSSPOutput) Result {
+func ValidateSSSP(g *graph.Graph, got, want algo.SSSPOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
-	return ExactFloats(got, algo.RunSSSP(g, source))
+	return ExactFloats(got, want)
 }
 
 // ValidateLCC checks an LCC output: per-vertex agreement with the
-// reference within epsilon, and every coefficient in [0, 1].
-func ValidateLCC(g *graph.Graph, got algo.LCCOutput) Result {
+// reference want within epsilon, and every coefficient in [0, 1].
+func ValidateLCC(g *graph.Graph, got, want algo.LCCOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
 	}
@@ -258,5 +260,5 @@ func ValidateLCC(g *graph.Graph, got algo.LCCOutput) Result {
 			return fail("vertex %d: LCC %v outside [0, 1]", v, c)
 		}
 	}
-	return EpsilonFloats(got, algo.RunLCC(g), Epsilon)
+	return EpsilonFloats(got, want, Epsilon)
 }

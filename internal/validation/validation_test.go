@@ -25,14 +25,14 @@ func TestValidReferenceOutputs(t *testing.T) {
 		kind algo.Kind
 		res  Result
 	}{
-		{algo.STATS, ValidateStats(g, algo.RunStats(g))},
-		{algo.BFS, ValidateBFS(g, 0, algo.RunBFS(g, 0))},
-		{algo.CONN, ValidateConn(g, algo.RunConn(g))},
-		{algo.CD, ValidateCD(g, params, algo.RunCD(g, params))},
-		{algo.EVO, ValidateEvo(g, params, algo.RunEvo(g, params))},
-		{algo.PR, ValidatePageRank(g, params, algo.RunPageRank(g, params))},
-		{algo.SSSP, ValidateSSSP(g, 0, algo.RunSSSP(g, 0))},
-		{algo.LCC, ValidateLCC(g, algo.RunLCC(g))},
+		{algo.STATS, ValidateStats(algo.RunStats(g), algo.RunStats(g))},
+		{algo.BFS, ValidateBFS(g, algo.RunBFS(g, 0), algo.RunBFS(g, 0))},
+		{algo.CONN, ValidateConn(g, algo.RunConn(g), algo.RunConn(g))},
+		{algo.CD, ValidateCD(g, algo.RunCD(g, params), algo.RunCD(g, params))},
+		{algo.EVO, ValidateEvo(g, algo.RunEvo(g, params), algo.RunEvo(g, params))},
+		{algo.PR, ValidatePageRank(g, algo.RunPageRank(g, params), algo.RunPageRank(g, params))},
+		{algo.SSSP, ValidateSSSP(g, algo.RunSSSP(g, 0), algo.RunSSSP(g, 0))},
+		{algo.LCC, ValidateLCC(g, algo.RunLCC(g), algo.RunLCC(g))},
 	}
 	for _, c := range cases {
 		if !c.res.Valid {
@@ -49,17 +49,17 @@ func TestPageRankRejections(t *testing.T) {
 	bad := make(algo.PROutput, len(want))
 	copy(bad, want)
 	bad[0] += 1e-3
-	if r := ValidatePageRank(g, params, bad); r.Valid {
+	if r := ValidatePageRank(g, bad, want); r.Valid {
 		t.Error("perturbed rank accepted")
 	}
 	// Noise within epsilon is fine.
 	near := make(algo.PROutput, len(want))
 	copy(near, want)
 	near[0] += 1e-13
-	if r := ValidatePageRank(g, params, near); !r.Valid {
+	if r := ValidatePageRank(g, near, want); !r.Valid {
 		t.Errorf("epsilon-close ranks rejected: %s", r.Detail)
 	}
-	if r := ValidatePageRank(g, params, want[:len(want)-1]); r.Valid {
+	if r := ValidatePageRank(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 	// NaN must never validate — NaN comparisons are false both ways, so
@@ -68,7 +68,7 @@ func TestPageRankRejections(t *testing.T) {
 	for i := range nan {
 		nan[i] = math.NaN()
 	}
-	if r := ValidatePageRank(g, params, nan); r.Valid {
+	if r := ValidatePageRank(g, nan, want); r.Valid {
 		t.Error("all-NaN ranks accepted")
 	}
 }
@@ -79,10 +79,10 @@ func TestSSSPRejections(t *testing.T) {
 	bad := make(algo.SSSPOutput, len(want))
 	copy(bad, want)
 	bad[len(bad)/2] += 0.5
-	if r := ValidateSSSP(g, 0, bad); r.Valid {
+	if r := ValidateSSSP(g, bad, want); r.Valid {
 		t.Error("corrupted distance accepted")
 	}
-	if r := ValidateSSSP(g, 0, want[:len(want)-1]); r.Valid {
+	if r := ValidateSSSP(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 }
@@ -93,12 +93,12 @@ func TestLCCRejections(t *testing.T) {
 	bad := make(algo.LCCOutput, len(want))
 	copy(bad, want)
 	bad[0] = 1.5 // outside [0, 1]
-	if r := ValidateLCC(g, bad); r.Valid {
+	if r := ValidateLCC(g, bad, want); r.Valid {
 		t.Error("out-of-range coefficient accepted")
 	}
 	copy(bad, want)
 	bad[1] += 0.01
-	if r := ValidateLCC(g, bad); r.Valid {
+	if r := ValidateLCC(g, bad, want); r.Valid {
 		t.Error("perturbed coefficient accepted")
 	}
 }
@@ -124,23 +124,23 @@ func TestStatsRejections(t *testing.T) {
 
 	bad := want
 	bad.Vertices++
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := ValidateStats(bad, want); r.Valid {
 		t.Error("wrong vertex count accepted")
 	}
 	bad = want
 	bad.Edges--
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := ValidateStats(bad, want); r.Valid {
 		t.Error("wrong edge count accepted")
 	}
 	bad = want
 	bad.MeanLCC += 0.001
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := ValidateStats(bad, want); r.Valid {
 		t.Error("wrong LCC accepted")
 	}
 	// Tiny float noise within epsilon is fine.
 	near := want
 	near.MeanLCC += 1e-12
-	if r := ValidateStats(g, near); !r.Valid {
+	if r := ValidateStats(near, want); !r.Valid {
 		t.Errorf("epsilon-close LCC rejected: %s", r.Detail)
 	}
 }
@@ -151,10 +151,10 @@ func TestBFSRejections(t *testing.T) {
 	bad := make(algo.BFSOutput, len(want))
 	copy(bad, want)
 	bad[len(bad)/2]++
-	if r := ValidateBFS(g, 0, bad); r.Valid {
+	if r := ValidateBFS(g, bad, want); r.Valid {
 		t.Error("corrupted depth accepted")
 	}
-	if r := ValidateBFS(g, 0, want[:len(want)-1]); r.Valid {
+	if r := ValidateBFS(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestConnRejections(t *testing.T) {
 	bad := make(algo.ConnOutput, len(want))
 	copy(bad, want)
 	bad[0] = 99
-	if r := ValidateConn(g, bad); r.Valid {
+	if r := ValidateConn(g, bad, want); r.Valid {
 		t.Error("corrupted label accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestCDRejections(t *testing.T) {
 	bad := make(algo.CDOutput, len(want))
 	copy(bad, want)
 	bad[3] = int64(g.NumVertices()) + 5 // out of domain
-	if r := ValidateCD(g, params, bad); r.Valid {
+	if r := ValidateCD(g, bad, want); r.Valid {
 		t.Error("out-of-domain label accepted")
 	}
 	copy(bad, want)
@@ -186,7 +186,7 @@ func TestCDRejections(t *testing.T) {
 		bad[3] = 0
 	}
 	if bad[3] != want[3] {
-		if r := ValidateCD(g, params, bad); r.Valid {
+		if r := ValidateCD(g, bad, want); r.Valid {
 			t.Error("wrong label accepted")
 		}
 	}
@@ -199,7 +199,7 @@ func TestEvoRejections(t *testing.T) {
 
 	bad := want
 	bad.NewVertices++
-	if r := ValidateEvo(g, params, bad); r.Valid {
+	if r := ValidateEvo(g, bad, want); r.Valid {
 		t.Error("wrong vertex count accepted")
 	}
 
@@ -207,7 +207,7 @@ func TestEvoRejections(t *testing.T) {
 	bad.Edges = append([][2]graph.VertexID{}, want.Edges...)
 	if len(bad.Edges) > 0 {
 		bad.Edges = bad.Edges[:len(bad.Edges)-1]
-		if r := ValidateEvo(g, params, bad); r.Valid {
+		if r := ValidateEvo(g, bad, want); r.Valid {
 			t.Error("truncated edge set accepted")
 		}
 	}
@@ -215,7 +215,7 @@ func TestEvoRejections(t *testing.T) {
 	// Structurally invalid: edge from an original vertex.
 	bad = want
 	bad.Edges = append([][2]graph.VertexID{{0, 1}}, want.Edges...)
-	if r := ValidateEvo(g, params, bad); r.Valid {
+	if r := ValidateEvo(g, bad, want); r.Valid {
 		t.Error("edge from original vertex accepted")
 	}
 }

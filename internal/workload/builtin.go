@@ -22,13 +22,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunBFS(g, p.Source)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.BFSOutput)
-			if !okT {
-				return validation.Fail("BFS output has type %T", output)
-			}
-			return validation.ValidateBFS(g, p.Source, got)
-		},
+		Validate: typed(validation.ValidateBFS),
 	})
 	Register(Spec{
 		Kind:         algo.CD,
@@ -39,13 +33,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunCD(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.CDOutput)
-			if !okT {
-				return validation.Fail("CD output has type %T", output)
-			}
-			return validation.ValidateCD(g, p, got)
-		},
+		Validate: typed(validation.ValidateCD),
 	})
 	Register(Spec{
 		Kind:         algo.CONN,
@@ -56,13 +44,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunConn(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.ConnOutput)
-			if !okT {
-				return validation.Fail("CONN output has type %T", output)
-			}
-			return validation.ValidateConn(g, got)
-		},
+		Validate: typed(validation.ValidateConn),
 	})
 	Register(Spec{
 		Kind:         algo.EVO,
@@ -72,13 +54,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunEvo(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.EvoOutput)
-			if !okT {
-				return validation.Fail("EVO output has type %T", output)
-			}
-			return validation.ValidateEvo(g, p, got)
-		},
+		Validate: typed(validation.ValidateEvo),
 	})
 	Register(Spec{
 		Kind:         algo.STATS,
@@ -88,13 +64,9 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunStats(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.StatsOutput)
-			if !okT {
-				return validation.Fail("STATS output has type %T", output)
-			}
-			return validation.ValidateStats(g, got)
-		},
+		Validate: typed(func(_ *graph.Graph, got, want algo.StatsOutput) validation.Result {
+			return validation.ValidateStats(got, want)
+		}),
 	})
 	Register(Spec{
 		Kind:        algo.PR,
@@ -104,13 +76,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunPageRank(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.PROutput)
-			if !okT {
-				return validation.Fail("PR output has type %T", output)
-			}
-			return validation.ValidatePageRank(g, p, got)
-		},
+		Validate: typed(validation.ValidatePageRank),
 	})
 	Register(Spec{
 		Kind:         algo.SSSP,
@@ -120,13 +86,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunSSSP(g, p.Source)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.SSSPOutput)
-			if !okT {
-				return validation.Fail("SSSP output has type %T", output)
-			}
-			return validation.ValidateSSSP(g, p.Source, got)
-		},
+		Validate: typed(validation.ValidateSSSP),
 	})
 	Register(Spec{
 		Kind:         algo.LCC,
@@ -136,12 +96,23 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunLCC(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.LCCOutput)
-			if !okT {
-				return validation.Fail("LCC output has type %T", output)
-			}
-			return validation.ValidateLCC(g, got)
-		},
+		Validate: typed(validation.ValidateLCC),
 	})
+}
+
+// typed adapts a typed validator to Spec.Validate: it asserts the
+// platform output and the reference output to T first, so a platform
+// returning the wrong type is an invalid result, not a panic.
+func typed[T any](validate func(g *graph.Graph, got, want T) validation.Result) func(*graph.Graph, any, any) validation.Result {
+	return func(g *graph.Graph, got, want any) validation.Result {
+		gotT, okG := got.(T)
+		if !okG {
+			return validation.Fail("output has type %T, want %T", got, *new(T))
+		}
+		wantT, okW := want.(T)
+		if !okW {
+			return validation.Fail("reference has type %T, want %T", want, *new(T))
+		}
+		return validate(g, gotT, wantT)
+	}
 }

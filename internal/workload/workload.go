@@ -61,11 +61,15 @@ type Spec struct {
 	// have when built with reverse adjacency.
 	NeedsReverse bool
 	// Reference runs the sequential reference implementation — the
-	// Output Validator's gold standard.
+	// Output Validator's gold standard. It is the only producer of
+	// reference outputs: a campaign (internal/core) calls it once per
+	// (graph, workload) and hands the output to the validation of every
+	// platform's cell. Params must already carry defaults.
 	Reference func(g *graph.Graph, p algo.Params) any
-	// Validate checks a platform output against the reference under the
-	// workload's policy. Params must already carry defaults.
-	Validate func(g *graph.Graph, p algo.Params, output any) validation.Result
+	// Validate checks a platform output (got) against the reference
+	// output Reference returned for the same graph and params (want),
+	// under the workload's policy. It never runs the reference itself.
+	Validate func(g *graph.Graph, got, want any) validation.Result
 }
 
 // Name returns the canonical workload name (the Kind string).
@@ -162,15 +166,4 @@ func Parse(name string) (Spec, error) {
 		return Spec{}, fmt.Errorf("workload: unknown workload %q (known: %s)", name, strings.Join(known, ", "))
 	}
 	return ordered[byKind[kind]], nil
-}
-
-// Validate checks a platform output for kind against its registered
-// reference. It is the Output Validator's dispatch: the harness calls
-// it with whatever a platform returned.
-func Validate(g *graph.Graph, kind algo.Kind, p algo.Params, output any) validation.Result {
-	s, okL := Lookup(kind)
-	if !okL {
-		return validation.Fail("unknown workload %s", kind)
-	}
-	return s.Validate(g, p, output)
 }

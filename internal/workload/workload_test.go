@@ -67,16 +67,19 @@ func TestValidateDispatch(t *testing.T) {
 	g := testGraph(t)
 	params := algo.Params{Source: 0, Seed: 5}.WithDefaults(g.NumVertices())
 	for _, s := range All() {
-		out := s.Reference(g, params)
-		if r := Validate(g, s.Kind, params, out); !r.Valid {
+		want := s.Reference(g, params)
+		if r := s.Validate(g, want, want); !r.Valid {
 			t.Errorf("%s: reference output rejected: %s", s.Kind, r.Detail)
 		}
-		if r := Validate(g, s.Kind, params, "bogus"); r.Valid {
+		if r := s.Validate(g, "bogus", want); r.Valid {
 			t.Errorf("%s: wrong output type accepted", s.Kind)
 		}
+		if r := s.Validate(g, want, "bogus"); r.Valid {
+			t.Errorf("%s: wrong reference type accepted", s.Kind)
+		}
 	}
-	if r := Validate(g, algo.Kind("XX"), params, nil); r.Valid {
-		t.Error("unknown kind accepted")
+	if _, okL := Lookup(algo.Kind("XX")); okL {
+		t.Error("unknown kind resolved")
 	}
 }
 
